@@ -40,6 +40,7 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
+	$(GO) test -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/chunk/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

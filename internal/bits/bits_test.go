@@ -210,7 +210,7 @@ func TestWordFastPathsMatchPerBit(t *testing.T) {
 		var ops []op
 		total := uint(0)
 		for len(ops) < 40 {
-			n := uint(next()%65) // 0..64
+			n := uint(next() % 65) // 0..64
 			ops = append(ops, op{v: next(), n: n})
 			total += n
 		}

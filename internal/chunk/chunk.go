@@ -69,11 +69,13 @@ type Event struct {
 }
 
 // workerScratch is the per-goroutine arena of the parallel pipeline: the
-// codec's scratch plus the chunk copy-in slab. Drawn from scratchPool so
-// repeated Compress/Decompress calls reuse warmed arenas.
+// codec's scratch, the chunk copy-in slab and the frame read buffer of
+// single-frame decodes. Drawn from scratchPool so repeated
+// Compress/Decompress calls reuse warmed arenas.
 type workerScratch struct {
 	codec *codec.Scratch
 	slab  []float64
+	frame []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {

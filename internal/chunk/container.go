@@ -1,27 +1,40 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"sperr/internal/codec"
 	"sperr/internal/grid"
 )
 
-// container is a parsed SPERR-Go container stream (format v1, v2, or v3).
-// For v2+, payload checksums are deferred to payload(): parse walks only
-// the header and index footer, so random-access consumers (Describe,
-// DecompressRegion) never touch the frames they skip.
-type container struct {
+// Index is a container's validated frame table (format v1, v2, or v3),
+// read through an io.ReaderAt. Opening one reads the fixed header and,
+// for v2+, the tail and index footer — for v1, which has no footer, the
+// chunks' 4-byte length prefixes — and never a frame payload, so a
+// random-access reader pays only for the frames it then decodes. It is
+// the one container parser: parseContainer is this reader over a byte
+// slice.
+type Index struct {
+	r         io.ReaderAt
 	version   int
 	volDims   grid.Dims
 	chunkDims grid.Dims
 	chunks    []grid.Chunk
-	payloads  [][]byte          // one compressed stream per chunk, aliasing the input
-	crcs      []uint32          // v2+: expected payload crc32c, verified lazily
-	codecs    []codec.CodecID   // v3: per-chunk codec map from the footer
-	agg       aggregates
-	hasAgg    bool
+	entries   []indexEntry    // one frame per chunk; crc is set on v2+ only
+	codecs    []codec.CodecID // v3: per-chunk codec map from the footer
+	agg       aggregates      // v2+: the footer's aggregates
+}
+
+// container is an in-memory container: its index plus each chunk's
+// payload aliasing the stream. For v2+ the payload checksums are
+// deferred to payload(), so random-access consumers (Describe,
+// DecompressRegion) never touch the frames they skip.
+type container struct {
+	*Index
+	payloads [][]byte // one compressed stream per chunk, aliasing the input
 }
 
 // MaxDecodePoints, when positive, bounds the number of points a container
@@ -73,9 +86,10 @@ func validateGeometry(volDims, chunkDims grid.Dims, nchunks int) ([]grid.Chunk, 
 }
 
 // parseFixedHeader decodes and validates the 36-byte fixed header shared
-// by v1 and v2, returning the declared geometry and the chunk split. It is
-// the common entry of the strict parser (parseContainer) and the salvage
-// path, which must keep going on streams whose frame region is damaged.
+// by every version, returning the declared geometry and the chunk split.
+// It is the common entry of the index reader (ReadIndex), the streaming
+// Reader and the salvage path, which must keep going on streams whose
+// frame region is damaged.
 func parseFixedHeader(stream []byte) (version int, volDims, chunkDims grid.Dims, chunks []grid.Chunk, err error) {
 	if len(stream) < fixedHeaderSize {
 		return 0, volDims, chunkDims, nil, fmt.Errorf("%w: short header", ErrCorrupt)
@@ -100,68 +114,116 @@ func parseFixedHeader(stream []byte) (version int, volDims, chunkDims grid.Dims,
 	return version, volDims, chunkDims, chunks, nil
 }
 
-// parseContainer validates and indexes a container stream without
-// decoding (or, for v2, even checksumming) any chunk payloads.
-func parseContainer(stream []byte) (*container, error) {
-	if len(stream) < fixedHeaderSize {
+// ReadIndex reads and validates the index of a container of size bytes
+// through r, touching no frame payload. Every check of the strict parser
+// runs here: the chunk-count capacity bound, the geometry and decode cap,
+// and for v2+ the footer's checksum, frame contiguity and v3 codec map.
+func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
+	if size < fixedHeaderSize {
 		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	}
+	var hdr [fixedHeaderSize]byte
+	if err := readAt(r, hdr[:], 0); err != nil {
+		return nil, err
 	}
 	// Every chunk costs at least a 4-byte length prefix, so the declared
 	// chunk count is bounded by the bytes that remain — checked before
 	// validateGeometry's products so a lying count cannot size the chunk
 	// slice either.
-	nchunks := int(binary.LittleEndian.Uint32(stream[32:]))
-	if nchunks > (len(stream)-fixedHeaderSize)/4 {
+	nchunks := int(binary.LittleEndian.Uint32(hdr[32:]))
+	if int64(nchunks) > (size-fixedHeaderSize)/4 {
 		return nil, fmt.Errorf("%w: chunk count %d exceeds stream capacity", ErrCorrupt, nchunks)
 	}
-	version, volDims, chunkDims, chunks, err := parseFixedHeader(stream)
+	version, volDims, chunkDims, chunks, err := parseFixedHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	c := &container{version: version, volDims: volDims, chunkDims: chunkDims, chunks: chunks}
-	if c.version >= 2 {
-		return c, c.parseV2(stream, nchunks)
+	x := &Index{r: r, version: version, volDims: volDims, chunkDims: chunkDims, chunks: chunks}
+	if version >= 2 {
+		// The footer locates the frames by its entries, so this is
+		// O(nchunks) in the footer and reads no frame bytes.
+		if x.entries, x.codecs, x.agg, err = readFooter(r, size, version, nchunks); err != nil {
+			return nil, err
+		}
+		return x, nil
 	}
-	c.payloads = make([][]byte, nchunks)
-	off := fixedHeaderSize
-	for i := 0; i < nchunks; i++ {
-		if off+4 > len(stream) {
+	x.entries = make([]indexEntry, nchunks)
+	off := int64(fixedHeaderSize)
+	var prefix [4]byte
+	for i := range x.entries {
+		if off+4 > size {
 			return nil, fmt.Errorf("%w: truncated at chunk %d", ErrCorrupt, i)
 		}
-		n := int(binary.LittleEndian.Uint32(stream[off:]))
-		off += 4
-		if n < 0 || off+n > len(stream) {
+		if err := readAt(r, prefix[:], off); err != nil {
+			return nil, err
+		}
+		n := int64(binary.LittleEndian.Uint32(prefix[:]))
+		if off+4+n > size {
 			return nil, fmt.Errorf("%w: chunk %d payload truncated", ErrCorrupt, i)
 		}
-		c.payloads[i] = stream[off : off+n]
-		off += n
+		x.entries[i] = indexEntry{offset: uint64(off), length: uint32(n)}
+		off += 4 + n
 	}
-	return c, nil
+	return x, nil
 }
 
-// parseV2 indexes a v2/v3 stream from its footer alone: the frames are
-// located by the index entries, not by walking length prefixes, so this
-// is O(nchunks) in the footer and touches no frame bytes.
-func (c *container) parseV2(stream []byte, nchunks int) error {
-	idxOff, err := locateIndex(stream, c.version)
+// readAt fills p from r at off. Callers bound off+len(p) by the
+// container size first, so a short read is a container that is shorter
+// than it claims.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		return fmt.Errorf("%w: %d bytes at offset %d truncated", ErrCorrupt, len(p), off)
+	}
+	return fmt.Errorf("chunk: read %d bytes at offset %d: %w", len(p), off, err)
+}
+
+// DecodeChunk decodes chunk i alone: it reads only that frame's payload,
+// verifies it against the index entry's checksum (v2+) and the footer's
+// codec map (v3), and decodes it with a pooled arena. The returned
+// samples, in the chunk's own x-fastest order, belong to the caller.
+func (x *Index) DecodeChunk(i int) ([]float64, error) {
+	if i < 0 || i >= len(x.entries) {
+		return nil, fmt.Errorf("chunk: index %d out of range [0, %d)", i, len(x.entries))
+	}
+	e := x.entries[i]
+	ws := scratchPool.Get().(*workerScratch)
+	defer scratchPool.Put(ws)
+	if cap(ws.frame) < int(e.length) {
+		ws.frame = make([]byte, e.length)
+	}
+	p := ws.frame[:e.length]
+	if err := readAt(x.r, p, int64(e.offset)+4); err != nil {
+		return nil, err
+	}
+	if err := x.verify(i, p); err != nil {
+		return nil, err
+	}
+	data, err := x.decode(i, p, ws.codec, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	entries, codecs, agg, err := parseIndex(stream[idxOff:], c.version, nchunks, idxOff, len(stream))
+	// data aliases the arena, which goes back to the pool on return.
+	return append([]float64(nil), data...), nil
+}
+
+// parseContainer validates and indexes an in-memory container stream
+// without decoding (or, for v2+, even checksumming) any chunk payloads.
+func parseContainer(stream []byte) (*container, error) {
+	x, err := ReadIndex(bytes.NewReader(stream), int64(len(stream)))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.agg, c.hasAgg = agg, true
-	c.codecs = codecs
-	c.payloads = make([][]byte, nchunks)
-	c.crcs = make([]uint32, nchunks)
-	for i, e := range entries {
-		// parseIndex proved offset+4+length+4 <= indexOffset <= len(stream).
-		start := int(e.offset) + 4
-		c.payloads[i] = stream[start : start+int(e.length)]
-		c.crcs[i] = e.crc
+	c := &container{Index: x, payloads: make([][]byte, len(x.entries))}
+	for i, e := range x.entries {
+		// ReadIndex proved offset+4+length <= len(stream).
+		start := e.offset + 4
+		c.payloads[i] = stream[start : start+uint64(e.length)]
 	}
-	return nil
+	return c, nil
 }
 
 // payload returns chunk i's compressed stream, verifying its checksum
@@ -170,12 +232,19 @@ func (c *container) parseV2(stream []byte, nchunks int) error {
 // actually open. On v3 the returned bytes include the leading codec tag.
 func (c *container) payload(i int) ([]byte, error) {
 	p := c.payloads[i]
-	if c.crcs != nil {
-		if got := frameCRC(p); got != c.crcs[i] {
-			return nil, fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorrupt, i)
-		}
+	if err := c.verify(i, p); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// verify checks chunk i's payload against its index entry's checksum;
+// v1 frames carry none.
+func (x *Index) verify(i int, p []byte) error {
+	if x.version >= 2 && frameCRC(p) != x.entries[i].crc {
+		return fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorrupt, i)
+	}
+	return nil
 }
 
 // decodeTaggedPayload decodes a v3 frame payload — codec tag byte plus
@@ -200,23 +269,30 @@ func decodeTaggedPayload(payload []byte, dims grid.Dims, s *codec.Scratch, threa
 	return data, nil
 }
 
-// decodeChunk decodes chunk i of the container with the version-correct
-// dispatch: pre-v3 payloads are SPERR streams; v3 payloads carry a codec
-// tag that must also agree with the footer's codec map.
-func (c *container) decodeChunk(i int, dims grid.Dims, s *codec.Scratch, threads int) ([]float64, error) {
+// decodeChunk decodes chunk i of an in-memory container.
+func (c *container) decodeChunk(i int, s *codec.Scratch, threads int) ([]float64, error) {
 	payload, err := c.payload(i)
 	if err != nil {
 		return nil, err
 	}
-	if c.version < 3 {
+	return c.decode(i, payload, s, threads)
+}
+
+// decode decodes chunk i's verified payload with the version-correct
+// dispatch: pre-v3 payloads are SPERR streams; v3 payloads carry a codec
+// tag that must also agree with the footer's codec map. The result
+// aliases s.
+func (x *Index) decode(i int, payload []byte, s *codec.Scratch, threads int) ([]float64, error) {
+	dims := x.chunks[i].Dims
+	if x.version < 3 {
 		return codec.DecodeChunkScratchThreads(payload, dims, s, threads)
 	}
 	if len(payload) < 1 {
 		return nil, fmt.Errorf("%w: chunk %d frame empty", ErrCorrupt, i)
 	}
-	if c.codecs != nil && codec.CodecID(payload[0]) != c.codecs[i] {
+	if codec.CodecID(payload[0]) != x.codecs[i] {
 		return nil, fmt.Errorf("%w: chunk %d frame tag %d disagrees with index codec %d",
-			ErrCorrupt, i, payload[0], c.codecs[i])
+			ErrCorrupt, i, payload[0], x.codecs[i])
 	}
 	return decodeTaggedPayload(payload, dims, s, threads)
 }

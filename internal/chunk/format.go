@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"sperr/internal/codec"
@@ -242,22 +243,32 @@ func parseIndex(indexBytes []byte, version, nchunks int, indexOffset uint64, str
 	return entries, codecs, agg, nil
 }
 
-// locateIndex reads the fixed tail of a v2/v3 stream and returns the
-// index footer's offset.
-func locateIndex(stream []byte, version int) (uint64, error) {
-	if len(stream) < fixedHeaderSize+tailSize {
-		return 0, fmt.Errorf("%w: stream too short for index tail", ErrCorrupt)
+// readFooter reads the index footer of a v2/v3 container of size bytes
+// through r: the fixed tail first, then exactly the footer it points at,
+// which parseIndex validates. Nothing before the footer is read.
+func readFooter(r io.ReaderAt, size int64, version, nchunks int) ([]indexEntry, []codec.CodecID, aggregates, error) {
+	if size < fixedHeaderSize+tailSize {
+		return nil, nil, aggregates{}, fmt.Errorf("%w: stream too short for index tail", ErrCorrupt)
 	}
-	tail := stream[len(stream)-tailSize:]
+	var tail [tailSize]byte
+	if err := readAt(r, tail[:], size-tailSize); err != nil {
+		return nil, nil, aggregates{}, err
+	}
 	magic := indexMagicFor(version)
-	for i := range magic {
-		if tail[12+i] != magic[i] {
-			return 0, fmt.Errorf("%w: missing index magic", ErrCorrupt)
-		}
+	if [8]byte(tail[12:]) != magic {
+		return nil, nil, aggregates{}, fmt.Errorf("%w: missing index magic", ErrCorrupt)
 	}
 	off := binary.LittleEndian.Uint64(tail[4:12])
-	if off < fixedHeaderSize || off > uint64(len(stream)-tailSize) {
-		return 0, fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, off)
+	if off < fixedHeaderSize || off > uint64(size-tailSize) {
+		return nil, nil, aggregates{}, fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, off)
 	}
-	return off, nil
+	// Size check before the read, so a lying offset cannot size the buffer.
+	if got, want := uint64(size)-off, uint64(indexSizeFor(version, nchunks)); got != want {
+		return nil, nil, aggregates{}, fmt.Errorf("%w: index footer is %d bytes, want %d", ErrCorrupt, got, want)
+	}
+	footer := make([]byte, uint64(size)-off)
+	if err := readAt(r, footer, int64(off)); err != nil {
+		return nil, nil, aggregates{}, err
+	}
+	return parseIndex(footer, version, nchunks, off, int(size))
 }

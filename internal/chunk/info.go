@@ -72,23 +72,17 @@ func Describe(stream []byte) (*Info, error) {
 		CodecCounts: make(map[string]int, 1),
 		Chunks:      make([]ChunkInfo, 0, len(c.chunks)),
 	}
-	overhead := 4
-	if c.version >= 2 {
-		overhead = frameOverheadV2
-	}
-	off := fixedHeaderSize
 	for i, ch := range c.chunks {
 		ci := ChunkInfo{
 			Origin:          [3]int{ch.X0, ch.Y0, ch.Z0},
 			Dims:            ch.Dims,
-			Offset:          off,
+			Offset:          int(c.entries[i].offset),
 			CompressedBytes: len(c.payloads[i]),
 		}
 		if c.codecs != nil {
 			ci.Codec = c.codecs[i]
 		}
 		info.CodecCounts[ci.Codec.String()]++
-		off += overhead + len(c.payloads[i])
 		if c.version >= 2 {
 			ci.Meta = codec.StreamMeta{Codec: ci.Codec, Mode: c.agg.mode, Tol: c.agg.tol, Entropy: c.agg.entropy}
 		} else {

@@ -32,7 +32,7 @@ func classifyFrame(c *container, i int) frameState {
 	if len(p) <= StubFrameMaxLen {
 		return frameStub
 	}
-	if frameCRC(p) != c.crcs[i] {
+	if frameCRC(p) != c.entries[i].crc {
 		return frameDamaged
 	}
 	return frameIntact
@@ -107,7 +107,7 @@ func MergeShards(a, b []byte) ([]byte, error) {
 		var crc uint32
 		if src := pick[i]; src != nil {
 			payload = src.payloads[i]
-			crc = src.crcs[i]
+			crc = src.entries[i].crc
 		} else {
 			// The codec map survives the footer round trip, so a v3 stub can
 			// always be synthesized from it even when both inputs' frames for

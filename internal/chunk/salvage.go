@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -277,32 +278,30 @@ func locateFrames(stream []byte, version int, chunks []grid.Chunk, rep *SalvageR
 	maxFrame := maxFrameBytesFor(maxChunkLen)
 
 	if version >= 2 {
-		if idxOff, err := locateIndex(stream, version); err == nil {
-			if entries, codecIDs, _, err := parseIndex(stream[idxOff:], version, len(chunks), idxOff, len(stream)); err == nil {
-				rep.IndexIntact = true
-				payloads := make([][]byte, len(chunks))
-				for i, e := range entries {
-					p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
-					rep.Chunks[i].Offset = int64(e.offset)
-					rep.Chunks[i].Length = int(e.length)
-					lostRange := [2]int64{int64(e.offset), int64(e.offset) + frameOverheadV2 + int64(e.length)}
-					if frameCRC(p) != e.crc {
-						rep.Chunks[i].Reason = ReasonBadCRC
-						rep.LostRanges = append(rep.LostRanges, lostRange)
-						continue
-					}
-					meta, err := describePayload(p, version)
-					if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
-						(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
-						rep.Chunks[i].Reason = ReasonBadHeader
-						rep.LostRanges = append(rep.LostRanges, lostRange)
-						continue
-					}
-					payloads[i] = p
-					rep.Chunks[i].Reason = ""
+		if entries, codecIDs, _, err := readFooter(bytes.NewReader(stream), int64(len(stream)), version, len(chunks)); err == nil {
+			rep.IndexIntact = true
+			payloads := make([][]byte, len(chunks))
+			for i, e := range entries {
+				p := stream[e.offset+4 : e.offset+4+uint64(e.length)]
+				rep.Chunks[i].Offset = int64(e.offset)
+				rep.Chunks[i].Length = int(e.length)
+				lostRange := [2]int64{int64(e.offset), int64(e.offset) + frameOverheadV2 + int64(e.length)}
+				if frameCRC(p) != e.crc {
+					rep.Chunks[i].Reason = ReasonBadCRC
+					rep.LostRanges = append(rep.LostRanges, lostRange)
+					continue
 				}
-				return payloads
+				meta, err := describePayload(p, version)
+				if err != nil || (meta.Points != 0 && meta.Points != chunks[i].Dims.Len()) ||
+					(codecIDs != nil && (len(p) < 1 || codec.CodecID(p[0]) != codecIDs[i])) {
+					rep.Chunks[i].Reason = ReasonBadHeader
+					rep.LostRanges = append(rep.LostRanges, lostRange)
+					continue
+				}
+				payloads[i] = p
+				rep.Chunks[i].Reason = ""
 			}
+			return payloads
 		}
 	}
 	frames, lost, resynced := scanFrames(stream, version, maxFrame)
@@ -417,10 +416,8 @@ func Repair(stream []byte) ([]byte, *SalvageReport, error) {
 	var agg aggregates
 	haveAgg := false
 	if rep.IndexIntact {
-		if idxOff, err := locateIndex(stream, version); err == nil {
-			if _, _, a, err := parseIndex(stream[idxOff:], version, len(chunks), idxOff, len(stream)); err == nil {
-				agg, haveAgg = a, true
-			}
+		if _, _, a, err := readFooter(bytes.NewReader(stream), int64(len(stream)), version, len(chunks)); err == nil {
+			agg, haveAgg = a, true
 		}
 	}
 	if !haveAgg {

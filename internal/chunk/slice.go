@@ -66,7 +66,7 @@ func SliceShard(stream []byte, keep func(int) bool) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			crc = c.crcs[i]
+			crc = c.entries[i].crc
 		} else {
 			if c.version >= 3 {
 				if len(c.payloads[i]) < 1 {

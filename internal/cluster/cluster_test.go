@@ -257,9 +257,9 @@ func TestIngestRegionBitIdentical(t *testing.T) {
 	}
 
 	regions := []struct{ o, d [3]int }{
-		{[3]int{0, 0, 0}, dims},           // full volume
-		{[3]int{5, 6, 2}, [3]int{9, 4, 4}}, // straddles x, y and z chunk boundaries
-		{[3]int{7, 7, 3}, [3]int{1, 1, 1}}, // single sample at a corner
+		{[3]int{0, 0, 0}, dims},             // full volume
+		{[3]int{5, 6, 2}, [3]int{9, 4, 4}},  // straddles x, y and z chunk boundaries
+		{[3]int{7, 7, 3}, [3]int{1, 1, 1}},  // single sample at a corner
 		{[3]int{16, 8, 4}, [3]int{5, 5, 3}}, // tail chunks (odd remainders)
 	}
 	for _, rg := range regions {

@@ -82,8 +82,8 @@ type oentry struct {
 // EncodeScratch/DecodeScratch alias the scratch and stay valid only until
 // its next use.
 type Scratch struct {
-	w    *bits.Writer
-	r    bits.Reader
+	w      *bits.Writer
+	r      bits.Reader
 	ents   []oentry
 	lis    [][]rng
 	lsp    []int32

@@ -268,6 +268,7 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 	finish := trailerStatus(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	out := bufio.NewWriterSize(w, 256<<10)
+	var buf []byte // one encode buffer for the whole response
 	for _, ci := range chunks {
 		cg := meta.Chunks[ci]
 		o, d, ok := cluster.Intersect(origin, rdims, cg.Origin, cg.Dims)
@@ -289,7 +290,10 @@ func (s *Server) handleInternalChunks(w *statusWriter, r *http.Request, st *reqS
 			s.streamFail(w, r, st, finish, err)
 			return
 		}
-		buf := make([]byte, 8*len(data))
+		if cap(buf) < 8*len(data) {
+			buf = make([]byte, 8*len(data))
+		}
+		buf = buf[:8*len(data)]
 		putRow(buf, data, 8)
 		if _, err := out.Write(buf); err != nil {
 			s.streamFail(w, r, st, finish, err)

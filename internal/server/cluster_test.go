@@ -173,10 +173,10 @@ func TestClusterOddDimsStraddle(t *testing.T) {
 	id := ingest(t, nodes[0].ts, container, http.StatusCreated)
 
 	regions := []struct{ o, rd [3]int }{
-		{[3]int{7, 7, 3}, [3]int{2, 2, 2}},   // corner of 8 chunks
-		{[3]int{5, 6, 2}, [3]int{11, 5, 4}},  // straddles x, y, z boundaries
-		{[3]int{16, 8, 4}, [3]int{5, 5, 3}},  // odd tail chunks
-		{[3]int{0, 0, 0}, dims},              // everything
+		{[3]int{7, 7, 3}, [3]int{2, 2, 2}},  // corner of 8 chunks
+		{[3]int{5, 6, 2}, [3]int{11, 5, 4}}, // straddles x, y, z boundaries
+		{[3]int{16, 8, 4}, [3]int{5, 5, 3}}, // odd tail chunks
+		{[3]int{0, 0, 0}, dims},             // everything
 	}
 	for _, rg := range regions {
 		want, err := sperr.DecompressRegionWorkers(container, rg.o, rg.rd, 1)

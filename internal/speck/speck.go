@@ -104,20 +104,20 @@ type Scratch struct {
 	planeErr2 []float64
 	out       []float64
 	// Integer-path pools (see intpath.go, intpar.go, intdec.go).
-	pixI     []cpix
-	lisI     [][]int32
-	lisTI    [][]uint8
-	lspI     []int32
-	ulsp     []uint64
-	valsI    []float64
-	negI     []bool
-	negINew  []bool
-	trees    []*octree
-	topsT    []uint8
-	itemsI   []uint64
-	cutsI    []int
-	spansI   []encSpan
-	reconT   []float64
+	pixI    []cpix
+	lisI    [][]int32
+	lisTI   [][]uint8
+	lspI    []int32
+	ulsp    []uint64
+	valsI   []float64
+	negI    []bool
+	negINew []bool
+	trees   []*octree
+	topsT   []uint8
+	itemsI  []uint64
+	cutsI   []int
+	spansI  []encSpan
+	reconT  []float64
 	// Pooled arithmetic-coder endpoints (see entropy.go).
 	acs   *acSink
 	acsrc *acSource

@@ -93,8 +93,9 @@ func (s *Store) PlanRegion(id string, origin, dims [3]int) (*RegionPlan, error) 
 // Region serves the cutout of extent dims anchored at origin from the
 // two-tier store: chunks resident in the decoded cache are copied out
 // with zero decode work, and only the missing intersecting frames are
-// decoded (each located through the container's index footer), in
-// parallel up to workers, then offered to the cache for the next reader.
+// read from the blob and decoded (each located through the container's
+// index), in parallel up to workers, then offered to the cache for the
+// next reader.
 // The result is bit-identical to sperr.DecompressRegion on the stored
 // container — the cache is a pure memoization.
 func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, workers int) ([]float64, *RegionStats, error) {
@@ -135,8 +136,20 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		return out, st, nil
 	}
 
-	// Pass 2: decode only the missing frames, bounded by workers.
-	blob, err := os.ReadFile(s.blobPath(id))
+	// Pass 2: decode only the missing frames, bounded by workers. The
+	// index is read from the same descriptor the frames are, so a merge
+	// renaming a new blob into place mid-read cannot mix two containers:
+	// the open file stays one consistent snapshot.
+	f, err := os.Open(s.blobPath(id))
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: blob for %s: %w", shortID(id), err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: blob for %s: %w", shortID(id), err)
+	}
+	ix, err := sperr.ReadFrameIndex(f, fi.Size())
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: blob for %s: %w", shortID(id), err)
 	}
@@ -170,10 +183,10 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 		go func(ci int) {
 			defer func() { <-sem; wg.Done() }()
 			g := m.Chunks[ci]
-			// A region equal to exactly one chunk's box decodes exactly
-			// that frame (chunks tile the volume disjointly), so the
-			// existing seekable region path is the single-chunk decoder.
-			data, err := sperr.DecompressRegionWorkers(blob, g.Origin, g.Dims, 1)
+			data, err := ix.DecodeChunk(ci)
+			if err == nil && len(data) != g.Dims[0]*g.Dims[1]*g.Dims[2] {
+				err = fmt.Errorf("%w: decoded %d samples for a %v box", sperr.ErrCorrupt, len(data), g.Dims)
+			}
 			if err != nil {
 				setErr(fmt.Errorf("store: chunk %d of %s: %w", ci, shortID(id), err))
 				return

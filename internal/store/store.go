@@ -19,9 +19,9 @@
 //
 // The decoded tier is in memory: a chunk-granularity LRU (SlabCache) of
 // decoded float64 slabs. Region reads assemble their cutout from cached
-// chunks and decode only the intersecting frames that are missing, via
-// the container's seekable index footer (sperr.DecompressRegion on
-// exactly one chunk's box). Cache residency is charged through the
+// chunks and decode only the intersecting frames that are missing: the
+// blob's index (sperr.ReadFrameIndex) locates each one, and only those
+// frames are read from disk. Cache residency is charged through the
 // Charge/Release hooks against the same sample-denominated admission
 // budget that bounds in-flight decodes, so cache memory and decode
 // memory share one ceiling; under admission pressure the cache sheds
@@ -77,7 +77,7 @@ type Meta struct {
 	SHA256 string `json:"sha256"`
 	// Bytes is the container size on disk.
 	Bytes int64 `json:"bytes"`
-	// Version is the container format version (1 or 2).
+	// Version is the container format version (1, 2 or 3).
 	Version int `json:"version"`
 	// Mode, Tolerance and Entropy are the coding contract shared by every
 	// chunk of the container.

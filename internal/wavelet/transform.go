@@ -70,8 +70,8 @@ func (p *Plan) NumLevels() int { return len(p.steps) }
 type Scratch struct {
 	line, tmp   []float64
 	panel, ptmp []float64
-	subs        []*Scratch  // lazily grown per-extra-goroutine arenas
-	ws          []*Scratch  // pooled worker-set slice handed to the passes
+	subs        []*Scratch // lazily grown per-extra-goroutine arenas
+	ws          []*Scratch // pooled worker-set slice handed to the passes
 	// Grows counts how many times this scratch's buffers had to be
 	// (re)allocated; a warmed-up steady state stops growing. Sub-scratch
 	// growth is reported by TotalGrows.

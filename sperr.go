@@ -27,6 +27,7 @@ package sperr
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"time"
 
@@ -385,6 +386,21 @@ func DecompressRegionWorkers(stream []byte, origin, dims [3]int, workers int) ([
 		return nil, err
 	}
 	return vol.Data, nil
+}
+
+// FrameIndex is a container's validated frame table, read through an
+// io.ReaderAt: the fixed header plus the index footer (v2+) or the
+// chunks' length prefixes (v1), never a frame payload. Its DecodeChunk
+// reads, checksums and decodes one chunk's frame alone, so a reader of
+// a stored container pays I/O only for the chunks it decodes. Chunk i is
+// the i-th box of Describe's Chunks. Safe for concurrent use when r is.
+type FrameIndex = chunk.Index
+
+// ReadFrameIndex reads and validates the index of the size-byte
+// container behind r, with every check Decompress applies before it
+// decodes; damage fails as ErrCorrupt.
+func ReadFrameIndex(r io.ReaderAt, size int64) (*FrameIndex, error) {
+	return chunk.ReadIndex(r, size)
 }
 
 // StreamInfo summarizes a compressed stream without decoding its data.
