@@ -34,13 +34,14 @@ test-race:
 faultinject:
 	$(GO) test -race -count=1 -v -run 'TestCampaign' ./internal/faultinject/
 
-# Short fuzz smoke over the decoder-facing targets; raise FUZZTIME for a
+# Short fuzz smoke over the decoder- and request-facing targets; raise FUZZTIME for a
 # longer exploration.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzCompressDecompress -fuzztime=$(FUZZTIME) -run=^$$ .
 	$(GO) test -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/chunk/
+	for f in FuzzParseRegionSpec FuzzParseTriple FuzzParseFill; do $(GO) test -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) -run=^$$ ./internal/server/ || exit 1; done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

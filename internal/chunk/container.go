@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,8 +31,8 @@ type Index struct {
 
 // container is an in-memory container: its index plus each chunk's
 // payload aliasing the stream. For v2+ the payload checksums are
-// deferred to payload(), so random-access consumers (Describe,
-// DecompressRegion) never touch the frames they skip.
+// deferred to payload(), so a consumer checksums only the frames it
+// opens.
 type container struct {
 	*Index
 	payloads [][]byte // one compressed stream per chunk, aliasing the input
@@ -186,12 +187,45 @@ func readAt(r io.ReaderAt, p []byte, off int64) error {
 // codec map (v3), and decodes it with a pooled arena. The returned
 // samples, in the chunk's own x-fastest order, belong to the caller.
 func (x *Index) DecodeChunk(i int) ([]float64, error) {
+	ws := scratchPool.Get().(*workerScratch)
+	defer scratchPool.Put(ws)
+	data, err := x.decodeFrame(i, ws)
+	if err != nil {
+		return nil, err
+	}
+	// data aliases the arena, which goes back to the pool on return.
+	return append([]float64(nil), data...), nil
+}
+
+// DecodeEach decodes the listed chunks, each from its own frame as
+// DecodeChunk does, on up to workers goroutines (<= 0 means GOMAXPROCS)
+// that each draw one pooled arena, and hands fn every chunk's samples in
+// the chunk's own x-fastest order. fn may run concurrently; data aliases
+// the worker's arena and is valid only until fn returns. ctx is checked
+// before each chunk, and the first error in list order is returned. It
+// is the one frame decoder behind region reads, in memory
+// (DecompressRegion) and on disk (the store's cache-miss pass).
+func (x *Index) DecodeEach(ctx context.Context, chunks []int, workers int, fn func(i int, data []float64) error) error {
+	return forEachChunkScratch(len(chunks), workers, func(k int, ws *workerScratch) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		i := chunks[k]
+		data, err := x.decodeFrame(i, ws)
+		if err != nil {
+			return fmt.Errorf("chunk %d: %w", i, err)
+		}
+		return fn(i, data)
+	})
+}
+
+// decodeFrame reads chunk i's frame into the arena's frame buffer,
+// verifies it and decodes it single-threaded. The result aliases ws.
+func (x *Index) decodeFrame(i int, ws *workerScratch) ([]float64, error) {
 	if i < 0 || i >= len(x.entries) {
 		return nil, fmt.Errorf("chunk: index %d out of range [0, %d)", i, len(x.entries))
 	}
 	e := x.entries[i]
-	ws := scratchPool.Get().(*workerScratch)
-	defer scratchPool.Put(ws)
 	if cap(ws.frame) < int(e.length) {
 		ws.frame = make([]byte, e.length)
 	}
@@ -202,12 +236,7 @@ func (x *Index) DecodeChunk(i int) ([]float64, error) {
 	if err := x.verify(i, p); err != nil {
 		return nil, err
 	}
-	data, err := x.decode(i, p, ws.codec, 1)
-	if err != nil {
-		return nil, err
-	}
-	// data aliases the arena, which goes back to the pool on return.
-	return append([]float64(nil), data...), nil
+	return x.decode(i, p, ws.codec, 1)
 }
 
 // parseContainer validates and indexes an in-memory container stream
@@ -267,15 +296,6 @@ func decodeTaggedPayload(payload []byte, dims grid.Dims, s *codec.Scratch, threa
 		return nil, fmt.Errorf("%w: codec %s: %w", ErrCorrupt, b.Name(), err)
 	}
 	return data, nil
-}
-
-// decodeChunk decodes chunk i of an in-memory container.
-func (c *container) decodeChunk(i int, s *codec.Scratch, threads int) ([]float64, error) {
-	payload, err := c.payload(i)
-	if err != nil {
-		return nil, err
-	}
-	return c.decode(i, payload, s, threads)
 }
 
 // decode decodes chunk i's verified payload with the version-correct

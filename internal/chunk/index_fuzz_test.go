@@ -73,7 +73,11 @@ func FuzzReadIndex(f *testing.F) {
 		defer scratchPool.Put(ws)
 		for i := 0; i < len(x.entries) && i < 4; i++ {
 			got, gerr := x.DecodeChunk(i)
-			want, werr := c.decodeChunk(i, ws.codec, 1)
+			p, werr := c.payload(i)
+			var want []float64
+			if werr == nil {
+				want, werr = c.decode(i, p, ws.codec, 1)
+			}
 			if (gerr == nil) != (werr == nil) {
 				t.Fatalf("chunk %d: DecodeChunk err = %v, in-memory err = %v", i, gerr, werr)
 			}

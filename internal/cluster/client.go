@@ -28,6 +28,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"sperr/internal/grid"
 )
 
 // chunkFrameHeaderSize is the per-frame prefix: u32 index + u32 count.
@@ -141,33 +143,23 @@ func (c *Cluster) deleteShard(ctx context.Context, peer, id string) error {
 // fetchChunks GETs the listed chunks' region intersections from a peer
 // and delivers each frame to the sink as it arrives. Returns an error
 // if the stream dies or if any requested chunk is missing from the
-// response (short stream — peer could not serve it).
-func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) (err error) {
+// response (short stream — peer could not serve it). The peer clips each
+// listed chunk against the region box itself.
+func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, region grid.Box, hs []chunkHit, sink *chunkSink) (err error) {
 	defer func() { c.onPeerRequest(peer, outcomeOf(ctx, err)) }()
 
 	want := make(map[int]chunkHit, len(hs))
 	var list strings.Builder
-	// The region box sent to the peer is the bounding box of the
-	// requested intersections; the peer re-intersects per chunk, so any
-	// box covering them is equivalent.
-	var bo, bhi [3]int
 	for i, h := range hs {
 		want[h.index] = h
 		if i > 0 {
 			list.WriteByte(',')
 		}
 		list.WriteString(strconv.Itoa(h.index))
-		for a := 0; a < 3; a++ {
-			if i == 0 || h.origin[a] < bo[a] {
-				bo[a] = h.origin[a]
-			}
-			if hi := h.origin[a] + h.dims[a]; i == 0 || hi > bhi[a] {
-				bhi[a] = hi
-			}
-		}
 	}
+	o, d := region.Origin, region.Dims
 	u := fmt.Sprintf("%s?region=%d,%d,%d,%d,%d,%d&chunks=%s", c.chunkURL(peer, id),
-		bo[0], bo[1], bo[2], bhi[0]-bo[0], bhi[1]-bo[1], bhi[2]-bo[2], list.String())
+		o[0], o[1], o[2], d[0], d[1], d[2], list.String())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
@@ -197,14 +189,14 @@ func (c *Cluster) fetchChunks(ctx context.Context, peer, id string, hs []chunkHi
 		if !ok {
 			return fmt.Errorf("cluster: peer %s sent unrequested chunk %d", peer, ci)
 		}
-		if wantN := h.dims[0] * h.dims[1] * h.dims[2]; n != wantN {
+		if wantN := h.box.Len(); n != wantN {
 			return fmt.Errorf("cluster: peer %s chunk %d: %d samples, want %d", peer, ci, n, wantN)
 		}
 		samples := make([]float64, n)
 		if err := readSamples(br, samples); err != nil {
 			return fmt.Errorf("cluster: peer %s chunk %d: %w", peer, ci, err)
 		}
-		sink.deliver(ChunkPiece{Index: ci, Origin: h.origin, Dims: h.dims, Samples: samples})
+		sink.deliver(h.piece(samples, false))
 		served++
 	}
 	if served < len(hs) {

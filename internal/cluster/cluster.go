@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sperr"
+	"sperr/internal/grid"
 	"sperr/internal/store"
 )
 
@@ -348,14 +349,15 @@ func (c *Cluster) Region(ctx context.Context, id string, origin, dims [3]int, op
 	if !ok {
 		return nil, store.ErrNotFound
 	}
-	if err := validBox(origin, dims, meta.Dims); err != nil {
-		return nil, err
+	region := grid.Box{Origin: origin, Dims: dims}
+	if !region.Within(meta.Dims) {
+		return nil, fmt.Errorf("cluster: region %v+%v outside volume %v", origin, dims, meta.Dims)
 	}
 
 	var hits []chunkHit
 	for i, cg := range meta.Chunks {
-		if o, d, ok := Intersect(origin, dims, cg.Origin, cg.Dims); ok {
-			hits = append(hits, chunkHit{index: i, origin: o, dims: d})
+		if b, ok := region.Intersect(grid.Box(cg)); ok {
+			hits = append(hits, chunkHit{index: i, box: b})
 		}
 	}
 	rep := &RegionReport{Chunks: len(hits)}
@@ -440,7 +442,7 @@ sweep:
 					if attempt > 0 && c.hooks.OnRetry != nil {
 						c.hooks.OnRetry(peer)
 					}
-					markPeer(peer, c.fetchGuarded(ctx, peer, id, hs, sink))
+					markPeer(peer, c.fetchGuarded(ctx, peer, id, region, hs, sink))
 				}(peer, hs)
 			}
 			wg.Wait()
@@ -484,14 +486,13 @@ sweep:
 			continue
 		}
 		rep.Skipped = append(rep.Skipped, h.index)
-		n := h.dims[0] * h.dims[1] * h.dims[2]
-		buf := make([]float64, n)
+		buf := make([]float64, h.box.Len())
 		if opts.Fill != 0 || math.IsNaN(opts.Fill) {
 			for i := range buf {
 				buf[i] = opts.Fill
 			}
 		}
-		sink.deliver(ChunkPiece{Index: h.index, Origin: h.origin, Dims: h.dims, Samples: buf, Filled: true})
+		sink.deliver(h.piece(buf, true))
 	}
 	sort.Ints(rep.Skipped)
 	if len(rep.Skipped) > 0 && c.hooks.OnFilled != nil {
@@ -514,11 +515,11 @@ func (c *Cluster) decodeLocal(ctx context.Context, id string, hs []chunkHit, sem
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			data, _, err := c.st.Region(ctx, id, h.origin, h.dims, 1)
+			data, _, err := c.st.Region(ctx, id, h.box.Origin, h.box.Dims, 1)
 			if err != nil {
 				return
 			}
-			sink.deliver(ChunkPiece{Index: h.index, Origin: h.origin, Dims: h.dims, Samples: data})
+			sink.deliver(h.piece(data, false))
 		}(h)
 	}
 	wg.Wait()
@@ -528,13 +529,13 @@ func (c *Cluster) decodeLocal(ctx context.Context, id string, hs []chunkHit, sem
 // circuit breaker: an open breaker refuses immediately (outcome "open")
 // so the sweep short-circuits to the chunk's next replica instead of
 // burning a timeout on a peer that is almost certainly still down.
-func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) bool {
+func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, region grid.Box, hs []chunkHit, sink *chunkSink) bool {
 	br := c.breakerFor(peer)
 	if !br.allow(time.Now()) {
 		c.onPeerRequest(peer, "open")
 		return false
 	}
-	if c.fetchHedged(ctx, peer, id, hs, sink) {
+	if c.fetchHedged(ctx, peer, id, region, hs, sink) {
 		br.success()
 		return true
 	}
@@ -548,16 +549,25 @@ func (c *Cluster) fetchGuarded(ctx context.Context, peer, id string, hs []chunkH
 // peer. If the primary has not completed within hedgeAfter, an
 // identical request is launched alongside it; the sink deduplicates
 // deliveries, so whichever connection produces a chunk first wins.
-// Reports whether every requested chunk was delivered.
-func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHit, sink *chunkSink) bool {
+// Reports whether every requested chunk was delivered. Before it
+// returns, the losing fetch is canceled and waited for: that fetch may
+// be inside the sink's emit with a chunk it won, and the read must not
+// finish while an emit is still writing into it.
+func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, region grid.Box, hs []chunkHit, sink *chunkSink) bool {
 	cctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
 	results := make(chan error, 2)
+	inflight := 0
+	defer func() {
+		cancel()
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+	}()
 	launch := func() {
-		go func() { results <- c.fetchChunks(cctx, peer, id, hs, sink) }()
+		inflight++
+		go func() { results <- c.fetchChunks(cctx, peer, id, region, hs, sink) }()
 	}
 	launch()
-	inflight := 1
 	var hedgeC <-chan time.Time
 	if c.hedgeAfter > 0 {
 		t := time.NewTimer(c.hedgeAfter)
@@ -580,7 +590,6 @@ func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHi
 				c.hooks.OnHedge(peer)
 			}
 			launch()
-			inflight++
 		case <-cctx.Done():
 			return false
 		}
@@ -589,8 +598,13 @@ func (c *Cluster) fetchHedged(ctx context.Context, peer, id string, hs []chunkHi
 
 // chunkHit is one chunk's intersection with the requested region.
 type chunkHit struct {
-	index        int
-	origin, dims [3]int
+	index int
+	box   grid.Box
+}
+
+// piece wraps samples of the hit's box as the chunk's delivery.
+func (h chunkHit) piece(samples []float64, filled bool) ChunkPiece {
+	return ChunkPiece{Index: h.index, Origin: h.box.Origin, Dims: h.box.Dims, Samples: samples, Filled: filled}
 }
 
 // chunkSink deduplicates chunk deliveries across hedged and retried
@@ -638,35 +652,12 @@ func (s *chunkSink) emitErr() error {
 	return s.err
 }
 
-// validBox checks a region box against the volume extent.
-func validBox(origin, dims, vol [3]int) error {
-	for a := 0; a < 3; a++ {
-		if dims[a] <= 0 || origin[a] < 0 || origin[a]+dims[a] > vol[a] {
-			return fmt.Errorf("cluster: region %v+%v outside volume %v", origin, dims, vol)
-		}
-	}
-	return nil
-}
-
 // Intersect returns the intersection of box (ro, rd) with box (co, cd)
 // as (origin, dims) and whether it is non-empty. Peers use it to clip
 // each requested chunk against the region box.
 func Intersect(ro, rd, co [3]int, cd [3]int) (o, d [3]int, ok bool) {
-	for a := 0; a < 3; a++ {
-		lo := ro[a]
-		if co[a] > lo {
-			lo = co[a]
-		}
-		hi := ro[a] + rd[a]
-		if c := co[a] + cd[a]; c < hi {
-			hi = c
-		}
-		if hi <= lo {
-			return o, d, false
-		}
-		o[a], d[a] = lo, hi-lo
-	}
-	return o, d, true
+	b, ok := grid.Box{Origin: ro, Dims: rd}.Intersect(grid.Box{Origin: co, Dims: cd})
+	return b.Origin, b.Dims, ok
 }
 
 // shortID abbreviates a content address for error messages.

@@ -93,19 +93,7 @@ func (v *Volume) Range() (lo, hi float64) {
 // Cutout copies the box of size dims anchored at (x0, y0, z0).
 // It panics if the box exceeds the volume bounds.
 func (v *Volume) Cutout(x0, y0, z0 int, dims Dims) *Volume {
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+dims.NX > v.Dims.NX || y0+dims.NY > v.Dims.NY || z0+dims.NZ > v.Dims.NZ {
-		panic(fmt.Sprintf("grid: cutout %v@(%d,%d,%d) exceeds volume %v", dims, x0, y0, z0, v.Dims))
-	}
-	out := NewVolume(dims)
-	for z := 0; z < dims.NZ; z++ {
-		for y := 0; y < dims.NY; y++ {
-			srcOff := v.Dims.Index(x0, y0+y, z0+z)
-			dstOff := dims.Index(0, y, z)
-			copy(out.Data[dstOff:dstOff+dims.NX], v.Data[srcOff:srcOff+dims.NX])
-		}
-	}
-	return out
+	return FromSlice(dims, v.CutoutInto(nil, x0, y0, z0, dims))
 }
 
 // CutoutInto copies the box of size dims anchored at (x0, y0, z0) into
@@ -114,56 +102,37 @@ func (v *Volume) Cutout(x0, y0, z0 int, dims Dims) *Volume {
 // pass nil to allocate fresh. It panics if the box exceeds the volume
 // bounds.
 func (v *Volume) CutoutInto(dst []float64, x0, y0, z0 int, dims Dims) []float64 {
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+dims.NX > v.Dims.NX || y0+dims.NY > v.Dims.NY || z0+dims.NZ > v.Dims.NZ {
-		panic(fmt.Sprintf("grid: cutout %v@(%d,%d,%d) exceeds volume %v", dims, x0, y0, z0, v.Dims))
-	}
-	n := dims.Len()
+	box := v.box("cutout", x0, y0, z0, dims)
+	n := box.Len()
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for z := 0; z < dims.NZ; z++ {
-		for y := 0; y < dims.NY; y++ {
-			srcOff := v.Dims.Index(x0, y0+y, z0+z)
-			dstOff := dims.Index(0, y, z)
-			copy(dst[dstOff:dstOff+dims.NX], v.Data[srcOff:srcOff+dims.NX])
-		}
-	}
+	CopyBox(dst, box, v.Data, Box{Dims: v.Dims.Extent()})
 	return dst
 }
 
 // Insert writes src into the volume with its origin at (x0, y0, z0).
+// It panics if src exceeds the volume bounds.
 func (v *Volume) Insert(src *Volume, x0, y0, z0 int) {
-	d := src.Dims
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+d.NX > v.Dims.NX || y0+d.NY > v.Dims.NY || z0+d.NZ > v.Dims.NZ {
-		panic(fmt.Sprintf("grid: insert %v@(%d,%d,%d) exceeds volume %v", d, x0, y0, z0, v.Dims))
-	}
-	for z := 0; z < d.NZ; z++ {
-		for y := 0; y < d.NY; y++ {
-			srcOff := d.Index(0, y, z)
-			dstOff := v.Dims.Index(x0, y0+y, z0+z)
-			copy(v.Data[dstOff:dstOff+d.NX], src.Data[srcOff:srcOff+d.NX])
-		}
-	}
+	v.InsertSlice(src.Data, src.Dims, x0, y0, z0)
 }
 
 // InsertSlice writes the row-major box data (extent d) into the volume
 // with its origin at (x0, y0, z0) — Insert without the *Volume wrapper,
 // for pipelines whose chunk data lives in pooled slabs.
 func (v *Volume) InsertSlice(data []float64, d Dims, x0, y0, z0 int) {
-	if x0 < 0 || y0 < 0 || z0 < 0 ||
-		x0+d.NX > v.Dims.NX || y0+d.NY > v.Dims.NY || z0+d.NZ > v.Dims.NZ {
-		panic(fmt.Sprintf("grid: insert %v@(%d,%d,%d) exceeds volume %v", d, x0, y0, z0, v.Dims))
+	CopyBox(v.Data, Box{Dims: v.Dims.Extent()}, data, v.box("insert", x0, y0, z0, d))
+}
+
+// box returns the box of extent d anchored at (x0, y0, z0), panicking
+// (with op in the message) unless it lies within the volume.
+func (v *Volume) box(op string, x0, y0, z0 int, d Dims) Box {
+	b := Box{Origin: [3]int{x0, y0, z0}, Dims: d.Extent()}
+	if !b.Within(v.Dims.Extent()) {
+		panic(fmt.Sprintf("grid: %s %v@(%d,%d,%d) exceeds volume %v", op, d, x0, y0, z0, v.Dims))
 	}
-	for z := 0; z < d.NZ; z++ {
-		for y := 0; y < d.NY; y++ {
-			srcOff := d.Index(0, y, z)
-			dstOff := v.Dims.Index(x0, y0+y, z0+z)
-			copy(v.Data[dstOff:dstOff+d.NX], data[srcOff:srcOff+d.NX])
-		}
-	}
+	return b
 }
 
 // ToFloat32 converts the data to float32.
@@ -221,11 +190,4 @@ func clampChunk(c, n int) int {
 		return n
 	}
 	return c
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

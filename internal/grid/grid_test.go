@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,13 +82,25 @@ func TestCutoutInsertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCutoutPanicsOutOfBounds: the cutout and insert bounds checks
+// reject a box past the edge, including one whose origin+dims overflows
+// int, before any copy runs.
 func TestCutoutPanicsOutOfBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewVolume(D3(4, 4, 4)).Cutout(2, 2, 2, D3(4, 4, 4))
+	v := NewVolume(D3(4, 4, 4))
+	for name, f := range map[string]func(){
+		"cutout past the edge": func() { v.Cutout(2, 2, 2, D3(4, 4, 4)) },
+		"cutout at MaxInt":     func() { v.Cutout(math.MaxInt, 0, 0, D3(1, 1, 1)) },
+		"insert at MaxInt":     func() { v.InsertSlice([]float64{1}, D3(1, 1, 1), 0, math.MaxInt, 0) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "exceeds volume") {
+					t.Errorf("%s: panic %q, want the bounds check's", name, msg)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestRange(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"sperr/internal/grid"
 )
 
 // chunkKey identifies one decoded slab: a volume's content address plus
@@ -16,10 +18,9 @@ type chunkKey struct {
 // slabEntry is one resident decoded chunk. Data is shared with readers
 // and must be treated as immutable once inserted.
 type slabEntry struct {
-	key    chunkKey
-	origin [3]int
-	dims   [3]int
-	data   []float64
+	key  chunkKey
+	box  grid.Box // the chunk's box in volume coordinates
+	data []float64
 }
 
 func (e *slabEntry) samples() int64 { return int64(len(e.data)) }

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"sperr"
+	"sperr/internal/grid"
 )
 
 func slab(id string, chunk, samples int) *slabEntry {
 	return &slabEntry{
 		key:  chunkKey{ID: id, Chunk: chunk},
-		dims: [3]int{samples, 1, 1},
+		box:  grid.Box{Dims: [3]int{samples, 1, 1}},
 		data: make([]float64, samples),
 	}
 }

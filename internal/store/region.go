@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sperr"
+	"sperr/internal/grid"
 )
 
 // RegionStats describes how one Region call was served.
@@ -38,27 +37,14 @@ type RegionPlan struct {
 	MaxChunkSamples int64
 }
 
-// intersects reports whether chunk box g overlaps the cutout.
-func intersects(g ChunkGeom, origin, dims [3]int) bool {
-	for a := 0; a < 3; a++ {
-		if g.Origin[a] >= origin[a]+dims[a] || g.Origin[a]+g.Dims[a] <= origin[a] {
-			return false
-		}
+// regionBox validates a cutout against a volume's extent and returns
+// its box.
+func regionBox(m *Meta, origin, dims [3]int) (grid.Box, error) {
+	b := grid.Box{Origin: origin, Dims: dims}
+	if !b.Within(m.Dims) {
+		return b, fmt.Errorf("store: region %v@%v outside volume %v", dims, origin, m.Dims)
 	}
-	return true
-}
-
-// checkRegion validates a cutout against a volume's extent.
-func checkRegion(m *Meta, origin, dims [3]int) error {
-	for a := 0; a < 3; a++ {
-		if dims[a] <= 0 {
-			return fmt.Errorf("store: region dims must be positive, got %v", dims)
-		}
-		if origin[a] < 0 || origin[a]+dims[a] > m.Dims[a] {
-			return fmt.Errorf("store: region %v@%v exceeds volume %v", dims, origin, m.Dims)
-		}
-	}
-	return nil
+	return b, nil
 }
 
 // PlanRegion reports what serving the cutout would take right now:
@@ -69,12 +55,13 @@ func (s *Store) PlanRegion(id string, origin, dims [3]int) (*RegionPlan, error) 
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if err := checkRegion(m, origin, dims); err != nil {
+	region, err := regionBox(m, origin, dims)
+	if err != nil {
 		return nil, err
 	}
 	plan := &RegionPlan{}
 	for i, g := range m.Chunks {
-		if !intersects(g, origin, dims) {
+		if _, ok := region.Intersect(grid.Box(g)); !ok {
 			continue
 		}
 		plan.Chunks++
@@ -93,9 +80,9 @@ func (s *Store) PlanRegion(id string, origin, dims [3]int) (*RegionPlan, error) 
 // Region serves the cutout of extent dims anchored at origin from the
 // two-tier store: chunks resident in the decoded cache are copied out
 // with zero decode work, and only the missing intersecting frames are
-// read from the blob and decoded (each located through the container's
-// index), in parallel up to workers, then offered to the cache for the
-// next reader.
+// read from the blob and decoded, in parallel up to workers, by the frame
+// index's DecodeEach loop (the decoder behind sperr.DecompressRegion
+// too), then offered to the cache for the next reader.
 // The result is bit-identical to sperr.DecompressRegion on the stored
 // container — the cache is a pure memoization.
 func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, workers int) ([]float64, *RegionStats, error) {
@@ -103,23 +90,23 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 	if !ok {
 		return nil, nil, ErrNotFound
 	}
-	if err := checkRegion(m, origin, dims); err != nil {
+	region, err := regionBox(m, origin, dims)
+	if err != nil {
 		return nil, nil, err
 	}
 
-	n := dims[0] * dims[1] * dims[2]
-	out := make([]float64, n)
-	st := &RegionStats{Samples: n}
+	out := make([]float64, region.Len())
+	st := &RegionStats{Samples: len(out)}
 
 	// Pass 1: serve what the decoded tier already holds.
 	var missIdx []int
 	for i, g := range m.Chunks {
-		if !intersects(g, origin, dims) {
+		if _, ok := region.Intersect(grid.Box(g)); !ok {
 			continue
 		}
 		st.Chunks++
 		if e := s.cache.Get(chunkKey{ID: id, Chunk: i}); e != nil {
-			copyIntersect(out, origin, dims, e.origin, e.dims, e.data)
+			grid.CopyBox(out, region, e.data, e.box)
 			st.Hits++
 		} else {
 			missIdx = append(missIdx, i)
@@ -153,96 +140,31 @@ func (s *Store) Region(ctx context.Context, id string, origin, dims [3]int, work
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: blob for %s: %w", shortID(id), err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(missIdx) {
-		workers = len(missIdx)
-	}
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, workers)
-		errMu   sync.Mutex
-		first   error
-		decoded atomic.Int64
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if first == nil {
-			first = err
+	var decoded atomic.Int64
+	err = ix.DecodeEach(ctx, missIdx, workers, func(ci int, data []float64) error {
+		box := grid.Box(m.Chunks[ci])
+		if len(data) != box.Len() {
+			return fmt.Errorf("%w: decoded %d samples for a %v box", sperr.ErrCorrupt, len(data), box.Dims)
 		}
-		errMu.Unlock()
-	}
-	for _, ci := range missIdx {
-		if ctx != nil && ctx.Err() != nil {
-			setErr(ctx.Err())
-			break
+		s.decodes.Add(1)
+		decoded.Add(1)
+		if s.opts.Hooks.OnDecode != nil {
+			s.opts.Hooks.OnDecode(1)
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ci int) {
-			defer func() { <-sem; wg.Done() }()
-			g := m.Chunks[ci]
-			data, err := ix.DecodeChunk(ci)
-			if err == nil && len(data) != g.Dims[0]*g.Dims[1]*g.Dims[2] {
-				err = fmt.Errorf("%w: decoded %d samples for a %v box", sperr.ErrCorrupt, len(data), g.Dims)
-			}
-			if err != nil {
-				setErr(fmt.Errorf("store: chunk %d of %s: %w", ci, shortID(id), err))
-				return
-			}
-			s.decodes.Add(1)
-			decoded.Add(1)
-			if s.opts.Hooks.OnDecode != nil {
-				s.opts.Hooks.OnDecode(1)
-			}
-			// Chunks are disjoint, so concurrent copies write disjoint
-			// ranges of out.
-			copyIntersect(out, origin, dims, g.Origin, g.Dims, data)
-			s.cache.Insert(&slabEntry{
-				key:    chunkKey{ID: id, Chunk: ci},
-				origin: g.Origin,
-				dims:   g.Dims,
-				data:   data,
-			})
-		}(ci)
-	}
-	wg.Wait()
+		// Chunks are disjoint, so concurrent copies write disjoint
+		// ranges of out. data aliases the decode arena; the cache keeps
+		// its own copy.
+		grid.CopyBox(out, region, data, box)
+		s.cache.Insert(&slabEntry{
+			key:  chunkKey{ID: id, Chunk: ci},
+			box:  box,
+			data: append([]float64(nil), data...),
+		})
+		return nil
+	})
 	st.Decoded = int(decoded.Load())
-	if first != nil {
-		return nil, nil, first
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %s: %w", shortID(id), err)
 	}
 	return out, st, nil
-}
-
-// copyIntersect copies the overlap of the chunk box (cOrigin, cDims) into
-// the destination cutout (dOrigin, dDims), both in volume coordinates.
-func copyIntersect(dst []float64, dOrigin, dDims [3]int, cOrigin, cDims [3]int, src []float64) {
-	x0, x1 := maxInt(cOrigin[0], dOrigin[0]), minInt(cOrigin[0]+cDims[0], dOrigin[0]+dDims[0])
-	y0, y1 := maxInt(cOrigin[1], dOrigin[1]), minInt(cOrigin[1]+cDims[1], dOrigin[1]+dDims[1])
-	z0, z1 := maxInt(cOrigin[2], dOrigin[2]), minInt(cOrigin[2]+cDims[2], dOrigin[2]+dDims[2])
-	if x1 <= x0 || y1 <= y0 || z1 <= z0 {
-		return
-	}
-	for z := z0; z < z1; z++ {
-		for y := y0; y < y1; y++ {
-			srcOff := ((z-cOrigin[2])*cDims[1]+(y-cOrigin[1]))*cDims[0] + (x0 - cOrigin[0])
-			dstOff := ((z-dOrigin[2])*dDims[1]+(y-dOrigin[1]))*dDims[0] + (x0 - dOrigin[0])
-			copy(dst[dstOff:dstOff+(x1-x0)], src[srcOff:srcOff+(x1-x0)])
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -354,6 +354,50 @@ func TestPlanRegion(t *testing.T) {
 	}
 }
 
+// TestRegionRejectsOverflowingBox: a box whose origin+dims overflows int
+// wraps to a negative end that an origin+dims > vol check accepts. Both
+// the plan and the read must refuse it instead of serving zeros.
+func TestRegionRejectsOverflowingBox(t *testing.T) {
+	s := openTestStore(t, Options{CacheSamples: 1 << 20})
+	c := makeContainer(t, [3]int{16, 16, 16}, [3]int{8, 8, 8}, 1e-4, 7)
+	meta, _, err := s.Put(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxes := []struct{ origin, dims [3]int }{
+		{[3]int{math.MaxInt, 0, 0}, [3]int{1, 1, 1}},
+		{[3]int{0, 0, math.MaxInt - 3}, [3]int{1, 1, 8}},
+		{[3]int{1, 0, 0}, [3]int{math.MaxInt, 1, 1}},
+	}
+	for _, b := range boxes {
+		if _, err := s.PlanRegion(meta.ID, b.origin, b.dims); err == nil {
+			t.Errorf("PlanRegion accepted %v@%v on a 16^3 volume", b.dims, b.origin)
+		}
+		if data, _, err := s.Region(context.Background(), meta.ID, b.origin, b.dims, 1); err == nil {
+			t.Errorf("Region accepted %v@%v on a 16^3 volume and returned %d samples", b.dims, b.origin, len(data))
+		}
+	}
+}
+
+// TestRegionMissPassHonorsCancel: the cache-miss decode loop checks the
+// context between chunks, so a canceled read decodes nothing.
+func TestRegionMissPassHonorsCancel(t *testing.T) {
+	s := openTestStore(t, Options{CacheSamples: 1 << 20})
+	dims := [3]int{16, 16, 16}
+	meta, _, err := s.Put(makeContainer(t, dims, [3]int{8, 8, 8}, 1e-4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := s.Region(ctx, meta.ID, [3]int{}, dims, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled read: err = %v, want context.Canceled", err)
+	}
+	if n := s.Decodes(); n != 0 {
+		t.Fatalf("canceled read decoded %d chunks", n)
+	}
+}
+
 // TestAuditDetectsDamage: the disk audit flags orphans, missing blobs,
 // and content drift.
 func TestAuditDetectsDamage(t *testing.T) {
